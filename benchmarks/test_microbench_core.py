@@ -89,25 +89,6 @@ def uncached_batch_rows_per_sec(model, batch, rows_per_repeat=25_600,
     return len(batches) * batch / best
 
 
-def plan_specialized_rows_per_sec(model, batch=256, calls=200, repeats=3):
-    """Raw throughput of the compiled ``score_rows`` scorer itself.
-
-    No index cache, no probe loop, no placeholder protocol — just the
-    exec-generated straight-line code over a fixed batch, i.e. the
-    ceiling the batched path amortizes toward.
-    """
-    plan = model.weights.plan
-    flat, bias = model.weights._flat, model.weights._bias
-    rows = [[n * 1_000 + v for v in FEATURES] for n in range(batch)]
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            plan.score_rows(flat, bias, rows)
-        best = min(best, time.perf_counter() - start)
-    return calls * batch / best
-
-
 def trained(model):
     """Put some signal in the weights so predict sums non-zero cells."""
     for i in range(32):
@@ -137,7 +118,6 @@ def measure_all():
         batch: uncached_batch_rows_per_sec(fast, batch)
         for batch in BATCH_SIZES
     }
-    plan_specialized = plan_specialized_rows_per_sec(fast)
 
     baseline_update = ops_per_sec(
         lambda: reference.update(features, True), calls=10_000
@@ -187,7 +167,6 @@ def measure_all():
             "predict_uncached_batch_ops_per_sec": {
                 str(batch): rate for batch, rate in uncached_batch.items()
             },
-            "plan_specialized_ops_per_sec": plan_specialized,
             "update_ops_per_sec": fast_update,
             "client_predict_vdso_ops_per_sec": client_predict_vdso,
             "client_predict_syscall_ops_per_sec": client_predict_syscall,
@@ -200,8 +179,6 @@ def measure_all():
                 uncached_predict / baseline_predict,
             "uncached_batch256_vs_baseline":
                 uncached_batch[256] / baseline_predict,
-            "plan_specialized_vs_baseline":
-                plan_specialized / baseline_predict,
             "update_vs_baseline": fast_update / baseline_update,
         },
         "score_cache_hit_rate": vdso.latency.cache_hit_rate,

@@ -4,8 +4,8 @@ The reproduction's claims - bit-identical kernel/monolith scores,
 fault sequences identical traced or untraced, deterministic ``--seed``
 reports - rest on conventions nothing in the language enforces:
 simulated time only, seeded RNG only, every trace kind registered,
-facade/kernel API parity, transports that close cleanly, no swallowed
-faults.  This package enforces them at the AST level, Mantis-style
+transports that close cleanly, no swallowed faults, no racing sim
+processes.  This package enforces them at the AST level, Mantis-style
 white-box program analysis turned inward on the repo itself, and gates
 CI via ``python -m repro check``.
 
@@ -14,8 +14,8 @@ Layout:
 * :mod:`repro.analysis.findings` - the :class:`Finding` model;
 * :mod:`repro.analysis.engine`   - file contexts, pragma suppression,
   the rule driver;
-* :mod:`repro.analysis.rules`    - the rule registry (DET/TRC/API/CTR/
-  EXC families);
+* :mod:`repro.analysis.rules`    - the rule registry (CTR/DET/EXC/QUE/
+  RAC/REP/TRC families);
 * :mod:`repro.analysis.baseline` - CRC-checked grandfathering;
 * :mod:`repro.analysis.cli`      - the ``check`` command.
 

@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=("Project-specific invariant checker: determinism "
-                     "lint, trace-registry audit, facade/transport "
-                     "contract checks (see docs/INVARIANTS.md)"),
+                     "lint, trace-registry audit, transport contract "
+                     "checks, race analysis (see docs/INVARIANTS.md)"),
     )
     parser.add_argument("--root", metavar="DIR", default=".",
                         help="project root to analyze (default: cwd); "

@@ -1,12 +1,13 @@
 """The analysis engine: file contexts, pragma suppression, rule driving.
 
 The engine is deliberately small: it parses every Python file under the
-project's package root once (:class:`FileContext` carries the AST, the
-raw lines, and the pragma map), hands each context to every registered
-rule's ``check_file`` hook, then gives each rule one ``finish`` pass
-over the whole :class:`Project` for cross-file audits (trace-kind
-registry, facade/kernel parity).  Suppression is resolved centrally so
-every rule honors the same ``# repro: allow RULE`` pragma syntax.
+project's package root once (:class:`FileContext` carries the AST, its
+nodes walked once, the raw lines, and the pragma map), hands each
+context to every registered rule's ``check_file`` hook, then gives each
+rule one ``finish`` pass over the whole :class:`Project` for cross-file
+audits (trace-kind registry, interprocedural and race analysis).
+Suppression is resolved centrally so every rule honors the same
+``# repro: allow RULE`` pragma syntax.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=relpath)
+        #: every node of ``tree`` in ``ast.walk`` order, walked once and
+        #: shared by every rule's whole-file scan
+        self.nodes = list(ast.walk(self.tree))
         self.pragmas = parse_pragmas(self.lines)
 
     @property

@@ -17,7 +17,6 @@ from repro.analysis.concurrency import (
 )
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.contracts import (
-    FacadeParityRule,
     NoSwallowedExceptionsRule,
     ReplicaReadOnlyRule,
     TransportCloseRule,
@@ -26,9 +25,7 @@ from repro.analysis.rules.determinism import (
     NoWallClockRule,
     SeededRngOnlyRule,
 )
-from repro.analysis.rules.plans import ImmutablePlanRule
 from repro.analysis.rules.serving import BlockingKernelCallRule
-from repro.analysis.rules.spans import SpanDisciplineRule
 from repro.analysis.rules.tracing import (
     NoDeadTraceKindsRule,
     RegisteredTraceKindsRule,
@@ -36,13 +33,10 @@ from repro.analysis.rules.tracing import (
 
 #: every shipped rule class, in rule-id order
 RULE_CLASSES: tuple[Type[Rule], ...] = (
-    FacadeParityRule,        # API001
-    TransportCloseRule,      # CTR001
-    NoWallClockRule,         # DET001
-    SeededRngOnlyRule,       # DET002
+    TransportCloseRule,         # CTR001
+    NoWallClockRule,            # DET001
+    SeededRngOnlyRule,          # DET002
     NoSwallowedExceptionsRule,  # EXC001
-    SpanDisciplineRule,         # OBS001
-    ImmutablePlanRule,          # PLN001
     BlockingKernelCallRule,     # QUE001
     SharedWriteRule,            # RAC001
     CheckThenActRule,           # RAC002

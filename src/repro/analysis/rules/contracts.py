@@ -1,12 +1,9 @@
-"""Contract rules: facade/kernel parity, transport close, no silent
-exception swallowing, read-only replicas.
+"""Contract rules: transport close, no silent exception swallowing,
+read-only replicas.
 
-These are the API promises other layers build on: the
-:class:`~repro.core.service.PredictionService` facade advertises the
-kernel's signatures unchanged (bit-identity claims are meaningless if
-callers cannot swap one for the other), every stateful transport
-participates in the ``close()`` lifecycle, failures are either
-handled or propagated - never silently dropped - and follower
+These are the API promises other layers build on: every stateful
+transport participates in the ``close()`` lifecycle, failures are
+either handled or propagated - never silently dropped - and follower
 replicas are strictly read-only (a writing replica forks the
 replicated state and breaks every promotion/staleness guarantee).
 """
@@ -16,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import FileContext, Project
+from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import (
     Rule,
@@ -24,99 +21,6 @@ from repro.analysis.rules.base import (
     dotted_name,
     walk_calls,
 )
-
-#: (facade class, kernel class) pairs whose public signatures must match
-FACADE_PAIRS = (("PredictionService", "ShardedService"),)
-
-
-def _signature(function: ast.FunctionDef) -> list[tuple[str, str]]:
-    """Ordered (param name, default source) pairs, excluding ``self``.
-
-    Positional-only/keyword-only markers are deliberately ignored: the
-    facade may tighten a parameter to keyword-only without breaking the
-    keyword call sites the project uses.
-    """
-    args = function.args
-    ordered = list(args.posonlyargs) + list(args.args)
-    defaults: dict[str, str] = {}
-    for arg, default in zip(reversed(ordered),
-                            reversed(args.defaults)):
-        defaults[arg.arg] = ast.unparse(default)
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            defaults[arg.arg] = ast.unparse(default)
-    names = [arg.arg for arg in ordered + list(args.kwonlyargs)
-             if arg.arg != "self"]
-    if args.vararg is not None:
-        names.append("*" + args.vararg.arg)
-    if args.kwarg is not None:
-        names.append("**" + args.kwarg.arg)
-    return [(name, defaults.get(name, "")) for name in names]
-
-
-def _public_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    methods: dict[str, ast.FunctionDef] = {}
-    for node in cls.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == "__init__" \
-                    or not node.name.startswith("_"):
-                methods[node.name] = node
-    return methods
-
-
-def _find_classes(project: Project) -> dict[str, tuple[FileContext,
-                                                       ast.ClassDef]]:
-    classes: dict[str, tuple[FileContext, ast.ClassDef]] = {}
-    for context in project.contexts:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, (context, node))
-    return classes
-
-
-class FacadeParityRule(Rule):
-    """API001: facade and kernel public signatures stay in sync.
-
-    For every public method (plus ``__init__``) the facade overrides,
-    the parameter names, order, and defaults must match the kernel's.
-    A facade-only method is fine (sugar); a *changed* signature means
-    the "API-compatible facade" claim is broken.
-    """
-
-    rule_id = "API001"
-    description = ("PredictionService facade and ShardedService kernel "
-                   "public signatures stay in sync")
-    hint = ("match the ShardedService kernel's parameter names, order, "
-            "and defaults in the PredictionService facade override "
-            "(keyword-only tightening is the one sanctioned drift)")
-
-    def finish(self, project: Project) -> Iterator[Finding]:
-        classes = _find_classes(project)
-        for facade_name, kernel_name in FACADE_PAIRS:
-            if facade_name not in classes or kernel_name not in classes:
-                continue
-            facade_ctx, facade_cls = classes[facade_name]
-            _kernel_ctx, kernel_cls = classes[kernel_name]
-            kernel_methods = _public_methods(kernel_cls)
-            for name, method in _public_methods(facade_cls).items():
-                kernel_method = kernel_methods.get(name)
-                if kernel_method is None:
-                    continue
-                facade_sig = _signature(method)
-                kernel_sig = _signature(kernel_method)
-                if facade_sig != kernel_sig:
-                    yield facade_ctx.finding(
-                        self.rule_id, method.lineno,
-                        f"{facade_name}.{name} signature "
-                        f"{_render(facade_sig)} drifted from "
-                        f"{kernel_name}.{name} {_render(kernel_sig)}",
-                    )
-
-
-def _render(signature: list[tuple[str, str]]) -> str:
-    parts = [f"{name}={default}" if default else name
-             for name, default in signature]
-    return "(" + ", ".join(parts) + ")"
 
 
 class TransportCloseRule(Rule):
@@ -140,7 +44,7 @@ class TransportCloseRule(Rule):
     BASE_SUFFIX = "Transport"
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if not self._is_transport_subclass(node):
@@ -209,7 +113,7 @@ class NoSwallowedExceptionsRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         allowed = ctx.module_path in self.ALLOWED_MODULES
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -282,7 +186,7 @@ class ReplicaReadOnlyRule(Rule):
                         "target", "shard")
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if not any(marker in node.name

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
-from repro.analysis.rules.base import Rule, dotted_name, walk_calls
+from repro.analysis.rules.base import Rule, dotted_name
 
 #: wall-clock reads the simulation must never make
 WALL_CLOCK_CALLS = frozenset({
@@ -62,7 +62,7 @@ class NoWallClockRule(Rule):
             return
         imported_clock_names = set()
         time_aliases = {"time"}
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
                     if alias.name in WALL_CLOCK_TIME_NAMES:
@@ -73,8 +73,10 @@ class NoWallClockRule(Rule):
                 for alias in node.names:
                     if alias.name == "time" and alias.asname:
                         time_aliases.add(alias.asname)
-        for call in walk_calls(ctx.tree):
-            name = dotted_name(call.func)
+        for node in ctx.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            name = dotted_name(node.func)
             if not name:
                 continue
             root, _, attr = name.partition(".")
@@ -82,14 +84,14 @@ class NoWallClockRule(Rule):
                     and attr in WALL_CLOCK_TIME_NAMES) \
                     or name in imported_clock_names:
                 yield ctx.finding(
-                    self.rule_id, call.lineno,
+                    self.rule_id, node.lineno,
                     f"wall-clock read {name}(): simulated time only "
                     f"(use the sim engine clock or a LatencyAccount)",
                 )
             elif any(name == suffix or name.endswith("." + suffix)
                      for suffix in DATETIME_CALLS):
                 yield ctx.finding(
-                    self.rule_id, call.lineno,
+                    self.rule_id, node.lineno,
                     f"wall-clock read {name}(): timestamps must come "
                     f"from simulated time, not the host clock",
                 )
@@ -119,7 +121,7 @@ class SeededRngOnlyRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.module_path in self.ALLOWED_MODULES:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" \

@@ -62,7 +62,7 @@ class BlockingKernelCallRule(Rule):
         if any(ctx.relpath.endswith(allowed)
                for allowed in self.ALLOWED_MODULES):
             return
-        for function in ast.walk(ctx.tree):
+        for function in ctx.nodes:
             if not isinstance(function, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
                 continue

@@ -61,9 +61,13 @@ def _literal_kind(call: ast.Call) -> tuple[str, int] | None:
 def find_registry(project: Project) -> tuple[dict[str, int],
                                              FileContext | None, int]:
     """The registered kinds (kind -> definition line), the file that
-    defines them, and the assignment's line."""
+    defines them, and the assignment's line.
+
+    The registry is a module-level assignment, so only each module's
+    top-level statements are scanned.
+    """
     for context in project.contexts:
-        for node in ast.walk(context.tree):
+        for node in context.tree.body:
             if not isinstance(node, ast.Assign):
                 continue
             if not any(isinstance(target, ast.Name)
@@ -100,7 +104,7 @@ class RegisteredTraceKindsRule(Rule):
         self.emissions: list[tuple[str, FileContext, int]] = []
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call) and _is_emission(node):
                 literal = _literal_kind(node)
                 if literal is not None:

@@ -16,7 +16,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from repro.core.config import LatencyModel, ResilienceConfig
 from repro.core.errors import (
@@ -497,41 +497,9 @@ class ResilientClient(PSSClient):
     # -- the guarded calls (span wrappers inherited from PSSClient) ----------
 
     def _predict_impl(self, features: Sequence[int]) -> int:
-        features = canonical_features(features)
-        self.stats.predictions += 1
-        self._last_was_fallback = False
-        if not self._breaker.allow():
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "breaker_open"})
-            return self.fallback_score(features)
-        try:
-            score = self._attempt(
-                lambda: self._transport.predict(features)
-            )
-        except QuotaExceededError:
-            # Not a transport failure: no retry, no breaker trip.  The
-            # tenant is over budget, so serve the static fallback.
-            self.stats.quota_rejections += 1
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "quota"})
-            return self.fallback_score(features)
-        except TransportFault:
-            self.stats.transport_failures += 1
-            self._breaker.record_failure()
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += 1
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "transport_fault"})
-            return self.fallback_score(features)
-        self._breaker.record_success()
-        return score
+        key = canonical_features(features)
+        return self._guarded_predict(
+            lambda: self._transport.predict(key), [key], batch=False)
 
     def _predict_batch_impl(
         self, feature_rows: Sequence[Sequence[int]]
@@ -541,51 +509,51 @@ class ResilientClient(PSSClient):
         A batch is one guarded operation: the breaker is consulted once,
         retries replay the *entire* batch (transports either return all
         scores or raise before returning any, so a replay never
-        double-serves a row), and on degradation - breaker open,
-        quota exhausted, transport fault after retries - every row of
-        the batch is answered by the static fallback.  Quota rejections
-        are never retried and never trip the breaker, exactly like the
-        scalar call.
+        double-serves a row), and on degradation every row of the batch
+        is answered by the static fallback.
         """
         rows = [canonical_features(features) for features in feature_rows]
         if not rows:
             return []
+        return self._guarded_predict(
+            lambda: self._transport.predict_batch(rows), rows, batch=True)
+
+    def _guarded_predict(self, call: Callable[[], Any],
+                         rows: list[tuple[int, ...]], batch: bool) -> Any:
+        """Run ``call`` (predicting ``rows``) behind the degrade ladder.
+
+        Breaker open, quota exhausted, or a transport fault after
+        retries each answer every row with the static fallback: a list
+        for a batch, the single score otherwise.  Quota rejections are
+        never retried and never trip the breaker - a retry cannot
+        un-exhaust a budget, and the transport itself is healthy.
+        """
         self.stats.predictions += len(rows)
         self._last_was_fallback = False
         if not self._breaker.allow():
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += len(rows)
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "breaker_open",
-                                           "rows": len(rows)})
-            return [self.fallback_score(key) for key in rows]
-        try:
-            scores = self._attempt(
-                lambda: self._transport.predict_batch(rows)
-            )
-        except QuotaExceededError:
-            # Not a transport failure: no retry, no breaker trip.
-            self.stats.quota_rejections += 1
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += len(rows)
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "quota",
-                                           "rows": len(rows)})
-            return [self.fallback_score(key) for key in rows]
-        except TransportFault:
-            self.stats.transport_failures += 1
-            self._breaker.record_failure()
-            self._last_was_fallback = True
-            self.stats.fallback_predictions += len(rows)
-            if self._tracer.enabled:
-                self._trace_client("fallback",
-                                   detail={"reason": "transport_fault",
-                                           "rows": len(rows)})
-            return [self.fallback_score(key) for key in rows]
-        self._breaker.record_success()
-        return scores
+            reason = "breaker_open"
+        else:
+            try:
+                result = self._attempt(call)
+            except QuotaExceededError:
+                self.stats.quota_rejections += 1
+                reason = "quota"
+            except TransportFault:
+                self.stats.transport_failures += 1
+                self._breaker.record_failure()
+                reason = "transport_fault"
+            else:
+                self._breaker.record_success()
+                return result
+        self._last_was_fallback = True
+        self.stats.fallback_predictions += len(rows)
+        if self._tracer.enabled:
+            detail: dict[str, Any] = {"reason": reason}
+            if batch:
+                detail["rows"] = len(rows)
+            self._trace_client("fallback", detail=detail)
+        scores = [self.fallback_score(key) for key in rows]
+        return scores if batch else scores[0]
 
     def _update_impl(self, features: Sequence[int],
                      direction: bool) -> None:

@@ -17,8 +17,8 @@ Layer diagram (see ``docs/ARCHITECTURE.md``)::
                 ▲
           PSSClient / ResilientClient
 
-:class:`~repro.core.service.PredictionService` is the single-shard,
-API-compatible facade over :class:`ShardedService`.  Recovery paths:
+:class:`~repro.core.service.PredictionService` is :class:`ShardedService`
+itself under its historical name (single shard by default).  Recovery paths:
 :class:`ShardedCheckpointManager` (per-shard snapshots + manifest) and
 :class:`ReplicaPromoter` (zero-downtime promotion of a crashed shard
 from its freshest followers).

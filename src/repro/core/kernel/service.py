@@ -1,9 +1,10 @@
 """The sharded, multi-tenant service kernel.
 
-:class:`ShardedService` is the kernel the :class:`~repro.core.service
-.PredictionService` facade wraps: it places every domain on one of
-``num_shards`` shards via stable hashing (:class:`~repro.core.kernel
-.sharding.ShardRouter`), keeps per-shard stats and latency accounting
+:class:`ShardedService` is the kernel (also exported under its
+historical name :class:`~repro.core.service.PredictionService`): it
+places every domain on one of ``num_shards`` shards via stable hashing
+(:class:`~repro.core.kernel.sharding.ShardRouter`), keeps per-shard
+stats and latency accounting
 (:class:`~repro.core.kernel.shard.Shard`), and runs every client-facing
 entry point through an optional :class:`~repro.core.kernel.admission
 .AdmissionController` enforcing per-tenant quotas.

@@ -25,9 +25,10 @@ prediction"):
   different tenants resolve to the *same* read-only plan instance
   (cache hits/misses are counted and traced as ``plan.hit`` /
   ``plan.compile``).
-* Plans are immutable after ``__init__`` (enforced statically by the
-  PLN001 invariant rule): they capture salts and table geometry only,
-  never weights, which is what makes cross-tenant sharing safe.
+* Plans are immutable after ``__init__``, by construction: attribute
+  writes and deletes raise :class:`AttributeError` and the numpy arrays
+  are read-only.  They capture salts and table geometry only, never
+  weights, which is what makes cross-tenant sharing safe.
 * A :class:`~repro.core.weights.WeightMatrix` *binds* a plan lazily and
   drops the binding whenever a snapshot restore swaps its learned state
   wholesale (:meth:`~repro.core.weights.WeightMatrix.load_state`) -
@@ -88,7 +89,7 @@ def _index_expr(i: int, entries: int) -> str:
 
 def _generate_source(signature: PlanSignature,
                      salts: tuple[int, ...]) -> str:
-    """Straight-line source for one shape's ``select``/``score_rows``.
+    """Straight-line source for one shape's ``select``.
 
     Per feature: one splitmix64 round with the per-slot salt pre-XORed
     (exactly :func:`~repro.core.hashing.salted_hash`), the reduction
@@ -99,33 +100,17 @@ def _generate_source(signature: PlanSignature,
     names = ", ".join(f"v{i}" for i in range(num_features))
     unpack = f"{names}," if num_features == 1 else names
 
-    def mix_lines(i: int, indent: str) -> list[str]:
-        return [
-            f"{indent}z = (v{i} & {_MASK64}) ^ {salts[i]}",
-            f"{indent}z = (z ^ (z >> 30)) * {_MIX_A} & {_MASK64}",
-            f"{indent}z = (z ^ (z >> 27)) * {_MIX_B} & {_MASK64}",
-            f"{indent}{_index_expr(i, entries)}",
-        ]
-
     lines = ["def select(row):", f"    {unpack} = row"]
     for i in range(num_features):
-        lines.extend(mix_lines(i, "    "))
+        lines += [
+            f"    z = (v{i} & {_MASK64}) ^ {salts[i]}",
+            f"    z = (z ^ (z >> 30)) * {_MIX_A} & {_MASK64}",
+            f"    z = (z ^ (z >> 27)) * {_MIX_B} & {_MASK64}",
+            f"    {_index_expr(i, entries)}",
+        ]
     indices = ", ".join(f"i{i}" for i in range(num_features))
     tail = "," if num_features == 1 else ""
     lines.append(f"    return ({indices}{tail})")
-
-    lines += [
-        "",
-        "def score_rows(flat, bias, rows):",
-        "    out = []",
-        "    append = out.append",
-        "    for row in rows:",
-        f"        {unpack} = row",
-    ]
-    for i in range(num_features):
-        lines.extend(mix_lines(i, "        "))
-    total = " + ".join(f"flat[i{i}]" for i in range(num_features))
-    lines += [f"        append(bias + {total})", "    return out"]
     return "\n".join(lines)
 
 
@@ -159,39 +144,49 @@ class SpecializedPlan:
     """One compiled, immutable scorer for a model shape.
 
     ``select(row)`` maps a feature tuple to the selected flat weight
-    indices; ``score_rows(flat, bias, rows)`` scores a whole batch
-    against a caller-supplied weight array without touching any index
-    cache; :meth:`score_select_rows` is the vectorized block variant.
+    indices; :meth:`score_select_rows` is the vectorized block variant.
     No closure holds weights: a plan is pure shape, shared read-only
-    across every same-shape domain (PLN001 forbids any ``self``
-    assignment outside ``__init__``).
+    across every same-shape domain.  The type enforces that: after
+    ``__init__`` every attribute write or delete raises
+    :class:`AttributeError`, and the numpy arrays are read-only so no
+    element write can re-salt a shared plan either.
     """
 
     __slots__ = ("signature", "num_features", "entries_per_feature",
-                 "salts", "select", "score_rows",
+                 "salts", "select",
                  "_u64_salts", "_u64_bases", "_u64_entries")
 
     def __init__(self, signature: PlanSignature,
                  salts: tuple[int, ...],
-                 select: Callable[[Sequence[int]], tuple[int, ...]],
-                 score_rows: Callable[..., list[int]]) -> None:
-        self.signature = signature
-        self.num_features = signature[0]
-        self.entries_per_feature = signature[1]
-        self.salts = salts
-        self.select = select
-        self.score_rows = score_rows
+                 select: Callable[[Sequence[int]], tuple[int, ...]]) -> None:
+        init = object.__setattr__  # the only writes a plan ever takes
+        init(self, "signature", signature)
+        init(self, "num_features", signature[0])
+        init(self, "entries_per_feature", signature[1])
+        init(self, "salts", salts)
+        init(self, "select", select)
         if _np is not None:
-            self._u64_salts = _np.array(salts, dtype=_np.uint64)
-            self._u64_bases = (
-                _np.arange(self.num_features, dtype=_np.uint64)
-                * _np.uint64(self.entries_per_feature)
-            )
-            self._u64_entries = _np.uint64(self.entries_per_feature)
+            u64_salts = _np.array(salts, dtype=_np.uint64)
+            u64_bases = (_np.arange(signature[0], dtype=_np.uint64)
+                         * _np.uint64(signature[1]))
+            u64_salts.flags.writeable = False
+            u64_bases.flags.writeable = False
+            u64_entries = _np.uint64(signature[1])
         else:  # pragma: no cover - numpy is in the dev image
-            self._u64_salts = None
-            self._u64_bases = None
-            self._u64_entries = None
+            u64_salts = u64_bases = u64_entries = None
+        init(self, "_u64_salts", u64_salts)
+        init(self, "_u64_bases", u64_bases)
+        init(self, "_u64_entries", u64_entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"SpecializedPlan is immutable: cannot set {name!r} (plans "
+            f"are shared read-only across tenants)")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"SpecializedPlan is immutable: cannot delete {name!r} "
+            f"(plans are shared read-only across tenants)")
 
     def __repr__(self) -> str:
         return (f"SpecializedPlan(features={self.num_features}, "
@@ -234,8 +229,7 @@ def compile_plan(config: PSSConfig) -> SpecializedPlan:
     exec(compile(source, f"<plan {signature}>", "exec"), namespace)
     return SpecializedPlan(
         signature, salts,
-        namespace["select"],       # type: ignore[arg-type]
-        namespace["score_rows"],   # type: ignore[arg-type]
+        namespace["select"],  # type: ignore[arg-type]
     )
 
 

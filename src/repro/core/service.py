@@ -1,17 +1,19 @@
-"""The Prediction System Service: the API-compatible kernel facade.
+"""The Prediction System Service: the paper-shaped entry point.
 
 Historically this module *was* the service - one monolithic class
 owning a flat dict of domains.  The implementation now lives in the
 layered :mod:`repro.core.kernel` package (shards, stable-hash routing,
 admission control, per-shard checkpoints); what remains here is the
-thin facade every existing caller programs against:
+name every existing caller programs against:
 
-* :class:`PredictionService` - a :class:`~repro.core.kernel.service
-  .ShardedService` that defaults to one shard and no admission
-  controller, which is *bit-identical* to the pre-kernel monolith
-  (property-tested against ``tests/core/reference_impl.py``).  Pass
-  ``num_shards``/``admission`` to opt into the kernel's multi-tenant
-  features without changing any call site.
+* :data:`PredictionService` - the :class:`~repro.core.kernel.service
+  .ShardedService` kernel itself, under its historical name.  Its
+  defaults (one shard, no admission controller, no replicas) are
+  *bit-identical* to the pre-kernel monolith (property-tested against
+  ``tests/core/reference_impl.py``); ``num_shards``/``admission`` opt
+  into the kernel's multi-tenant features without changing any call
+  site.  Being the same class, it cannot drift from the kernel's
+  signatures.
 * :class:`Domain` / :class:`DomainHandle` - re-exported from the
   kernel so historical imports (persistence, transports, tests) keep
   working unchanged.
@@ -29,39 +31,9 @@ implicit domain per registration).
 
 from __future__ import annotations
 
-from repro.core.config import ServiceConfig
-from repro.core.kernel.admission import AdmissionController
 from repro.core.kernel.domain import Domain, DomainHandle
 from repro.core.kernel.service import ShardedService
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TracerLike
 
 __all__ = ["Domain", "DomainHandle", "PredictionService"]
 
-
-class PredictionService(ShardedService):
-    """Container and dispatcher for prediction domains.
-
-    The paper-shaped entry point: single shard, open admission, the
-    same constructor signature the monolith had.  ``num_shards`` and
-    ``admission`` are keyword-only opt-ins to the sharded multi-tenant
-    kernel; with the defaults, behaviour (scores, stats, generations,
-    snapshots, traces, metrics) is bit-identical to the pre-kernel
-    service.
-
-    Passing a :class:`repro.obs.Tracer` and/or
-    :class:`repro.obs.MetricsRegistry` turns on white-box observability:
-    every client opened through :meth:`connect` is wired to them, and
-    :meth:`reports` aggregates latency histogram percentiles and
-    resilient-client stats per domain.
-    """
-
-    def __init__(self, config: ServiceConfig | None = None,
-                 tracer: TracerLike | None = None,
-                 metrics: MetricsRegistry | None = None, *,
-                 num_shards: int = 1,
-                 admission: AdmissionController | None = None,
-                 num_replicas: int = 0) -> None:
-        super().__init__(config=config, tracer=tracer, metrics=metrics,
-                         num_shards=num_shards, admission=admission,
-                         num_replicas=num_replicas)
+PredictionService = ShardedService

@@ -6,8 +6,8 @@ predict may traverse facade -> admission -> router -> shard -> failover
 -> transport -> plan.  A :class:`Span` is one timed stage of one request
 with an explicit ``parent_id``, so every predict/update/predict_batch
 yields a reconstructable tree.  Spans are opened through the tracer API
-(``with tracer.span("client.predict"): ...`` - context-manager use is
-enforced by the OBS001 static rule) and flat events recorded while a
+(``with tracer.span("client.predict"): ...`` - the context manager is
+the only public way to open one) and flat events recorded while a
 span is open attach to it via ``TraceEvent.span_id``.
 
 This module is pure data: the open/close machinery lives on

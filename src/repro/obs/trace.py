@@ -171,22 +171,25 @@ class Tracer:
              clock: Callable[[], float] | None = None) -> SpanHandle:
         """Open a span for the duration of a ``with`` block.
 
-        The only sanctioned way to open a span (OBS001 flags direct
-        ``begin_span``/``end_span`` use): the context manager closes it
-        on every path, stamping ``status`` from the in-flight exception.
+        The only way to open a span: the handle opens it in
+        ``__enter__`` and closes it in ``__exit__`` on every path,
+        stamping ``status`` from the in-flight exception.  A handle that
+        is never entered records nothing.
         ``clock`` overrides the tracer clock for this span (transports
         pass their latency account so durations are simulated ns).
         """
         return SpanHandle(self, name, domain, transport, shard, ts_ns,
                           detail, clock)
 
-    def begin_span(self, name: str, domain: str = "", transport: str = "",
-                   shard: str = "", ts_ns: float | None = None,
-                   detail: dict[str, Any] | None = None) -> Span:
-        """Low-level open: push a span onto the causality stack.
+    def _begin_span(self, name: str, domain: str = "",
+                    transport: str = "", shard: str = "",
+                    ts_ns: float | None = None,
+                    detail: dict[str, Any] | None = None) -> Span:
+        """Push a span onto the causality stack (``SpanHandle`` only).
 
-        Prefer :meth:`span`; a begun span that is never passed to
-        :meth:`end_span` pins every later event to a stale parent.
+        A begun span that is never passed to :meth:`_end_span` pins
+        every later event to a stale parent, so only the context
+        manager calls this pair.
         """
         self._seq += 1
         if ts_ns is None:
@@ -202,9 +205,9 @@ class Tracer:
         stack.append(opened)
         return opened
 
-    def end_span(self, span: Span, status: str = "ok",
-                 ts_ns: float | None = None) -> None:
-        """Low-level close: pop ``span`` and move it to the ring."""
+    def _end_span(self, span: Span, status: str = "ok",
+                  ts_ns: float | None = None) -> None:
+        """Pop ``span`` and move it to the ring (``SpanHandle`` only)."""
         self._seq += 1
         if ts_ns is None:
             ts_ns = self.clock() if self.clock is not None else float(
@@ -253,7 +256,12 @@ class Tracer:
 
 
 class SpanHandle:
-    """Context manager pairing one ``begin_span`` with one ``end_span``."""
+    """Context manager pairing one ``_begin_span`` with one ``_end_span``.
+
+    Constructing a handle records nothing; the span opens in
+    :meth:`__enter__`.  Calling ``__enter__`` by hand without a matching
+    ``__exit__`` still leaks an open span - use ``with``.
+    """
 
     __slots__ = ("_tracer", "_name", "_domain", "_transport", "_shard",
                  "_ts_ns", "_detail", "_clock", "_span", "_pushed")
@@ -282,7 +290,7 @@ class SpanHandle:
         ts = self._ts_ns
         if ts is None and clock is not None:
             ts = clock()
-        self._span = tracer.begin_span(
+        self._span = tracer._begin_span(
             self._name, domain=self._domain, transport=self._transport,
             shard=self._shard, ts_ns=ts, detail=self._detail)
         if clock is not None:
@@ -300,7 +308,7 @@ class SpanHandle:
             self._tracer._clock_stack.pop()
         end = self._clock() if self._clock is not None else None
         status = "ok" if exc_type is None else f"error:{exc_type.__name__}"
-        self._tracer.end_span(span, status=status, ts_ns=end)
+        self._tracer._end_span(span, status=status, ts_ns=end)
 
 
 class NullTracer:

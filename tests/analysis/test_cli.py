@@ -224,7 +224,7 @@ class TestUsage:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("API001", "CTR001", "DET001", "DET002",
+        for rule_id in ("CTR001", "DET001", "DET002",
                         "EXC001", "TRC001", "TRC002"):
             assert rule_id in out
 

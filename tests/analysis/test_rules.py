@@ -29,9 +29,9 @@ class TestRegistry:
 
     def test_expected_rules_present(self):
         assert set(rules_by_id()) == {
-            "API001", "CTR001", "DET001", "DET002", "EXC001",
-            "OBS001", "PLN001", "QUE001", "RAC001", "RAC002",
-            "RAC003", "REP001", "TRC001", "TRC002",
+            "CTR001", "DET001", "DET002", "EXC001", "QUE001",
+            "RAC001", "RAC002", "RAC003", "REP001", "TRC001",
+            "TRC002",
         }
 
     def test_every_rule_ships_a_fixit_hint(self):
@@ -102,19 +102,6 @@ class TestTrc002:
         assert findings[0].source_line == '"never_emitted",'
 
 
-class TestApi001:
-    def test_drifted_default_flagged_sugar_tolerated(self,
-                                                     check_fixture):
-        findings, _ = check_fixture("api001", ["API001"])
-        assert len(findings) == 1
-        (finding,) = findings
-        assert finding.path.endswith("facade.py")
-        assert "connect" in finding.message
-        assert "'syscall'" in finding.message
-        # __init__ (kw-only tightening) and connect_default (facade
-        # sugar) produced nothing.
-
-
 class TestCtr001:
     def test_contract_violations(self, check_fixture):
         findings, _ = check_fixture("ctr001", ["CTR001"])
@@ -143,71 +130,6 @@ class TestExc001:
         # good_except.py (named / recorded-and-reraised) and the
         # allowlisted core/persistence.py produce nothing.
         assert grouped == {}
-
-
-class TestPln001:
-    def test_plan_mutations_flagged(self, check_fixture):
-        findings, _ = check_fixture("pln001", ["PLN001"])
-        grouped = by_file(findings)
-        bad = grouped.pop("bad_plan.py")
-        messages = sorted(f.message for f in bad)
-        # CountingSpecializedPlan: per-call counter + re-salting;
-        # LazySpecializedPlanV2: element write + nested attribute write.
-        assert len(bad) == 4
-        assert any("CountingSpecializedPlan.select" in m
-                   for m in messages)
-        assert any("CountingSpecializedPlan.rebind" in m
-                   for m in messages)
-        assert sum("LazySpecializedPlanV2" in m for m in messages) == 2
-        assert all(f.rule_id == "PLN001" and f.severity == "error"
-                   for f in bad)
-        # good_plan.py: __init__ writes, locals unpacked from self, and
-        # a non-plan compiler class mutating its cache - none flagged.
-        assert grouped == {}
-
-    def test_real_specialized_plan_is_frozen(self):
-        from repro.analysis.engine import Project, run_rules
-        from repro.analysis.rules import select_rules
-
-        from .conftest import REPO_ROOT
-
-        findings, _ = run_rules(
-            Project(REPO_ROOT / "src" / "repro" / "core"),
-            select_rules(["PLN001"]),
-        )
-        assert findings == []
-
-
-class TestObs001:
-    def test_span_discipline_violations_flagged(self, check_fixture):
-        findings, _ = check_fixture("obs001", ["OBS001"])
-        grouped = by_file(findings)
-        bad = grouped.pop("bad_spans.py")
-        messages = sorted(f.message for f in bad)
-        # Raw begin/end pair, a stored un-with'ed handle, and a helper
-        # call whose handle is stored instead of returned.
-        assert len(bad) == 4
-        assert any("begin_span" in m for m in messages)
-        assert any("end_span" in m for m in messages)
-        assert any("span(...)" in m for m in messages)
-        assert any("_op_span(...)" in m for m in messages)
-        assert all(f.rule_id == "OBS001" and f.severity == "error"
-                   for f in bad)
-        # good_spans.py: with-items, forwarding *span* helpers, and
-        # spans()/open_spans() reads - none flagged.
-        assert grouped == {}
-
-    def test_real_tree_is_span_disciplined(self):
-        from repro.analysis.engine import Project, run_rules
-        from repro.analysis.rules import select_rules
-
-        from .conftest import REPO_ROOT
-
-        findings, _ = run_rules(
-            Project(REPO_ROOT / "src" / "repro"),
-            select_rules(["OBS001"]),
-        )
-        assert findings == []
 
 
 class TestQue001:

@@ -1,18 +1,24 @@
 """Tests for the retry / circuit-breaker / fallback client layer."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core import (
+    AdmissionController,
+    ClientIdentity,
     FaultInjector,
     FaultPlan,
     PredictionService,
     PSSConfig,
     ResilienceConfig,
     ResilientClient,
+    TenantQuota,
     TransportFault,
 )
 from repro.core.client import CircuitBreaker
 from repro.core.errors import ConfigError
+from repro.obs import Tracer
 
 
 def make_client(transport="syscall", resilience=None, fallback=1,
@@ -236,3 +242,109 @@ class TestZeroRateTransparency:
             injector.syscall_fault()
             injector.stale_read()
         assert [random.random() for _ in range(5)] == expected
+
+
+class TestBatchDegradedPaths:
+    """``predict_batch`` degrades the whole batch as one guarded call.
+
+    Each reason pins the returned scores, every ``stats`` counter, the
+    breaker state and the ``fallback`` trace detail; ``rows`` appears
+    in the detail only for the batch call.
+    """
+
+    ROWS = [[1, 2], [3, 4], [5, 6]]
+
+    @staticmethod
+    def fallback(features):
+        return features[0] * 10
+
+    def traced_client(self, admission=None, plan=None, resilience=None):
+        tracer = Tracer()
+        service = PredictionService(tracer=tracer, admission=admission)
+        client = service.connect(
+            "dom", config=PSSConfig(num_features=2), transport="syscall",
+            resilience=resilience or ResilienceConfig(),
+            fallback=self.fallback, fault_plan=plan,
+        )
+        return tracer, client
+
+    @staticmethod
+    def fallback_details(tracer):
+        return [event.detail for event in tracer.events()
+                if event.kind == "fallback"]
+
+    @staticmethod
+    def counters(client, **changed):
+        expected = dict(
+            predictions=0, fallback_predictions=0, retries=0,
+            transport_failures=0, dropped_updates=0, dropped_resets=0,
+            breaker_opens=0, breaker_closes=0, backoff_ns=0.0,
+            quota_rejections=0, shed_requests=0,
+        )
+        expected.update(changed)
+        assert asdict(client.stats) == expected
+
+    def failing(self, threshold):
+        return self.traced_client(
+            plan=FaultPlan(seed=0, syscall_failure_rate=1.0),
+            resilience=ResilienceConfig(max_attempts=2,
+                                        backoff_base_ns=100.0,
+                                        breaker_threshold=threshold,
+                                        breaker_cooldown=100),
+        )
+
+    def test_transport_fault_falls_back_every_row(self):
+        tracer, client = self.failing(threshold=2)
+        assert client.predict_batch(self.ROWS) == [10, 30, 50]
+        self.counters(client, predictions=3, fallback_predictions=3,
+                      retries=1, transport_failures=1, backoff_ns=100.0)
+        assert client.breaker_state == CircuitBreaker.CLOSED
+        assert client.last_prediction_was_fallback
+        assert self.fallback_details(tracer) == [
+            {"reason": "transport_fault", "rows": 3}]
+
+    def test_breaker_open_skips_the_transport(self):
+        tracer, client = self.failing(threshold=1)
+        client.predict_batch(self.ROWS)  # trips the breaker
+        assert client.breaker_state == CircuitBreaker.OPEN
+        syscalls = client.latency.syscalls
+        assert client.predict_batch(self.ROWS[:2]) == [10, 30]
+        assert client.latency.syscalls == syscalls
+        self.counters(client, predictions=5, fallback_predictions=5,
+                      retries=1, transport_failures=1, backoff_ns=100.0,
+                      breaker_opens=1)
+        assert client.breaker_state == CircuitBreaker.OPEN
+        assert self.fallback_details(tracer) == [
+            {"reason": "transport_fault", "rows": 3},
+            {"reason": "breaker_open", "rows": 2}]
+
+    def test_quota_falls_back_without_retry_or_trip(self):
+        admission = AdmissionController()
+        admission.set_quota(ClientIdentity(), TenantQuota(predict_budget=2))
+        tracer, client = self.traced_client(admission=admission)
+        assert client.predict_batch(self.ROWS) == [10, 30, 50]
+        self.counters(client, predictions=3, fallback_predictions=3,
+                      quota_rejections=1)
+        assert client.breaker_state == CircuitBreaker.CLOSED
+        assert client.last_prediction_was_fallback
+        assert self.fallback_details(tracer) == [
+            {"reason": "quota", "rows": 3}]
+
+    def test_healthy_batch_counts_rows_only(self):
+        tracer, client = self.traced_client()
+        assert client.predict_batch([]) == []
+        scores = client.predict_batch(self.ROWS)
+        assert len(scores) == 3
+        self.counters(client, predictions=3)
+        assert not client.last_prediction_was_fallback
+        assert self.fallback_details(tracer) == []
+
+    def test_scalar_fallback_detail_has_no_rows(self):
+        tracer, client = self.failing(threshold=1)
+        assert client.predict([7, 0]) == 70
+        assert client.predict([8, 0]) == 80
+        self.counters(client, predictions=2, fallback_predictions=2,
+                      retries=1, transport_failures=1, backoff_ns=100.0,
+                      breaker_opens=1)
+        assert self.fallback_details(tracer) == [
+            {"reason": "transport_fault"}, {"reason": "breaker_open"}]

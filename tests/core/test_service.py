@@ -3,12 +3,21 @@
 import pytest
 
 from repro.core import (
-    ClientIdentity,
     DomainError,
     PredictionService,
     PSSConfig,
     ServiceConfig,
 )
+from repro.core import kernel, service
+
+
+class TestFacadeIsTheKernel:
+    def test_prediction_service_is_sharded_service(self):
+        # The facade is the kernel under its historical name, so its
+        # signatures cannot drift from the kernel's.
+        assert PredictionService is kernel.ShardedService
+        assert service.Domain is kernel.Domain
+        assert service.DomainHandle is kernel.DomainHandle
 
 
 class TestDomainManagement:

@@ -96,6 +96,20 @@ class TestSpanTree:
             assert b.span_id == 1  # ids restart after clear
 
 
+class TestSpansAreContextManaged:
+    def test_raw_begin_end_are_not_public(self):
+        for name in ("begin_span", "end_span"):
+            assert not hasattr(Tracer, name)
+            assert not hasattr(Tracer(), name)
+
+    def test_unentered_handle_records_nothing(self):
+        tracer = Tracer()
+        tracer.span("never-entered", detail={"rows": 1})
+        assert tracer.open_spans() == []
+        assert tracer.spans() == []
+        assert tracer.current_span_id() == 0
+
+
 class TestClocks:
     def test_explicit_clock_drives_timestamps(self):
         tracer = Tracer()
