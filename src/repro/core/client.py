@@ -30,7 +30,7 @@ from repro.core.serving.future import CompletionFuture
 from repro.core.service import DomainHandle
 from repro.core.stats import LatencyAccount, ResilienceStats
 from repro.core.transport import Transport, make_transport
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, SpanHandleLike, batch_rows, spanned
 from repro.sim.process import SimEvent
 
 if TYPE_CHECKING:
@@ -77,32 +77,25 @@ class PSSClient:
 
     # -- the paper's three calls ---------------------------------------------
 
-    def _client_span(self, op: str, detail: dict | None = None):
-        """Root span for one application-facing call.
-
-        Opened once per public operation (so one ``predict`` yields one
-        span tree however deep the kernel path below runs), on the
-        transport account's simulated clock.  Callers pre-check
-        ``enabled`` and hold the handle in a ``with`` block.
-        """
+    def _span(self, op: str, detail: dict | None) -> SpanHandleLike:
+        """Root span of one application-facing call (see
+        :func:`~repro.obs.trace.spanned`), on the transport account's
+        simulated clock: one ``predict`` yields one span tree however
+        deep the kernel path below runs."""
         return self._tracer.span(
             f"client.{op}", domain=self.domain_name, transport="client",
             shard=self._obs_shard, detail=detail,
             clock=lambda: self._transport.account.total_ns,
         )
 
+    @spanned("predict")
     def predict(self, features: Sequence[int]) -> int:
         """Signed prediction score: ``int predict(int*, int)``."""
-        if self._tracer.enabled:
-            with self._client_span("predict"):
-                return self._predict_impl(features)
-        return self._predict_impl(features)
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
         # Canonicalize once at the API boundary; caches and batch
         # buffers below reuse this tuple instead of re-tupling.
         return self._transport.predict(canonical_features(features))
 
+    @spanned("predict_batch", detail=batch_rows)
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -114,42 +107,19 @@ class PSSClient:
         pass over the score cache and the domain's specialized plan).
         See docs/PERFORMANCE.md, "Batched and specialized prediction".
         """
-        if self._tracer.enabled:
-            with self._client_span("predict_batch",
-                                   detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         return self._transport.predict_batch(
             [canonical_features(features) for features in feature_rows]
         )
 
+    @spanned("update")
     def update(self, features: Sequence[int], direction: bool) -> None:
         """Feedback: ``void update(int*, int, bool dir)``."""
-        if self._tracer.enabled:
-            with self._client_span("update"):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int],
-                     direction: bool) -> None:
         self._transport.update(canonical_features(features), direction)
 
+    @spanned("reset")
     def reset(self, features: Sequence[int],
               reset_all: bool = False) -> None:
         """State wipe: ``void reset(int*, int, bool all)``."""
-        if self._tracer.enabled:
-            with self._client_span("reset"):
-                self._reset_impl(features, reset_all)
-            return
-        self._reset_impl(features, reset_all)
-
-    def _reset_impl(self, features: Sequence[int],
-                    reset_all: bool) -> None:
         self._transport.reset(canonical_features(features), reset_all)
 
     # -- conveniences ---------------------------------------------------------
@@ -166,15 +136,9 @@ class PSSClient:
         """``update(features, False)`` - the paper's -1 reward."""
         self.update(features, False)
 
+    @spanned("flush")
     def flush(self) -> None:
         """Deliver any batched updates now."""
-        if self._tracer.enabled:
-            with self._client_span("flush"):
-                self._flush_impl()
-            return
-        self._flush_impl()
-
-    def _flush_impl(self) -> None:
         self._transport.flush()
 
     # -- async serving (event-driven pipeline) -------------------------------
@@ -494,14 +458,16 @@ class ResilientClient(PSSClient):
         inner.add_done_callback(settle)
         return outer
 
-    # -- the guarded calls (span wrappers inherited from PSSClient) ----------
+    # -- the guarded calls (each re-declares its PSSClient span) ------------
 
-    def _predict_impl(self, features: Sequence[int]) -> int:
+    @spanned("predict")
+    def predict(self, features: Sequence[int]) -> int:
         key = canonical_features(features)
         return self._guarded_predict(
             lambda: self._transport.predict(key), [key], batch=False)
 
-    def _predict_batch_impl(
+    @spanned("predict_batch", detail=batch_rows)
+    def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
         """Batch predict with whole-batch degraded semantics.
@@ -555,8 +521,8 @@ class ResilientClient(PSSClient):
         scores = [self.fallback_score(key) for key in rows]
         return scores if batch else scores[0]
 
-    def _update_impl(self, features: Sequence[int],
-                     direction: bool) -> None:
+    @spanned("update")
+    def update(self, features: Sequence[int], direction: bool) -> None:
         features = canonical_features(features)
         if not self._breaker.allow():
             self.stats.dropped_updates += 1
@@ -580,8 +546,9 @@ class ResilientClient(PSSClient):
         else:
             self._breaker.record_success()
 
-    def _reset_impl(self, features: Sequence[int],
-                    reset_all: bool) -> None:
+    @spanned("reset")
+    def reset(self, features: Sequence[int],
+              reset_all: bool = False) -> None:
         features = canonical_features(features)
         if not self._breaker.allow():
             self.stats.dropped_resets += 1
@@ -597,7 +564,8 @@ class ResilientClient(PSSClient):
         else:
             self._breaker.record_success()
 
-    def _flush_impl(self) -> None:
+    @spanned("flush")
+    def flush(self) -> None:
         if self.pending_updates == 0:
             return
         if not self._breaker.allow():

@@ -19,7 +19,14 @@ from repro.core.errors import ShardDownError
 from repro.core.models import PredictorModel
 from repro.core.policy import ClientIdentity, DomainPolicy, open_policy
 from repro.core.stats import DomainReport, PredictionStats
-from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike
+from repro.obs.trace import (
+    NULL_TRACER,
+    SpanHandleLike,
+    TracerLike,
+    batch_rows,
+    nonempty_batch_rows,
+    spanned,
+)
 
 if TYPE_CHECKING:
     from repro.core.kernel.admission import AdmissionController
@@ -51,6 +58,24 @@ class Domain:
     #: .Shard` (None for domains never hosted by a sharded service);
     #: restamped by migration, consulted by handles for crash failover
     shard: "Shard | None" = field(default=None, repr=False)
+    #: the owning shard's tracer, stamped with :attr:`shard` by
+    #: :meth:`attach_shard`: a plain attribute, so the span seam's
+    #: untraced check costs no property call
+    tracer: TracerLike = field(default=NULL_TRACER, init=False,
+                               repr=False, compare=False)
+
+    def attach_shard(self, shard: "Shard | None") -> None:
+        """Set (or, with None, clear) the owning shard and its tracer."""
+        self.shard = shard
+        self.tracer = shard.tracer if shard is not None else NULL_TRACER
+
+    def _span(self, op: str, detail: dict[str, Any]) -> SpanHandleLike:
+        """One span per batched pass over the weights: this is where
+        the specialized plan (when the model holds one) executes."""
+        return self.tracer.span(
+            f"plan.{op}", domain=self.name, transport="kernel",
+            shard=self.shard_label, detail=detail,
+        )
 
     @property
     def generation(self) -> int:
@@ -74,6 +99,7 @@ class Domain:
         self.stats.record_prediction(score, self.config.threshold)
         return score
 
+    @spanned("execute", detail=batch_rows, tracer="tracer")
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -83,20 +109,6 @@ class Domain:
         one pass over their weights; others fall back to a scalar loop.
         Stats are recorded per row either way.
         """
-        shard = self.shard
-        tracer = shard.tracer if shard is not None else NULL_TRACER
-        if tracer.enabled:
-            # One span per batched pass over the weights: this is where
-            # the specialized plan (when the model holds one) executes.
-            with tracer.span("plan.execute", domain=self.name,
-                             transport="kernel", shard=self.shard_label,
-                             detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         batch = getattr(self.model, "predict_batch", None)
         if batch is not None:
             scores = batch(feature_rows)
@@ -151,6 +163,9 @@ class DomainHandle:
         self._domain = domain
         self._identity = identity
         self._admission = admission
+        #: bound once: every shard of a service shares its tracer, so
+        #: migration never changes which tracer a handle's spans go to
+        self._tracer = domain.tracer
 
     @property
     def domain_name(self) -> str:
@@ -183,45 +198,33 @@ class DomainHandle:
         """
         return self._domain.generation
 
-    def _tracer(self) -> TracerLike:
-        shard = self._domain.shard
-        return shard.tracer if shard is not None else NULL_TRACER
-
-    def _kernel_span(self, op: str, tracer: TracerLike,
-                     detail: dict[str, Any] | None = None
-                     ) -> SpanHandleLike:
+    def _span(self, op: str,
+              detail: dict[str, Any] | None) -> SpanHandleLike:
         """Span for one kernel-side dispatch into this handle's domain
-        (callers pre-check ``enabled``; nested spans inherit the
+        (see :func:`~repro.obs.trace.spanned`; nested spans inherit the
         enclosing transport span's simulated clock)."""
-        return tracer.span(
+        return self._tracer.span(
             f"kernel.{op}", domain=self._domain.name, transport="kernel",
             shard=self._domain.shard_label, detail=detail,
         )
 
-    def _charge_predict(self, tracer: TracerLike, count: int = 1) -> None:
+    def _charge_predict(self, count: int = 1) -> None:
         """Admission charge, wrapped in its own span when traced so the
-        tree shows admission as a distinct stage of the request."""
+        tree shows admission as a distinct stage of the request (an
+        inline guard: a spanned helper would cost a frame per call)."""
         admission = self._admission
         if admission is None:
             return
-        if tracer.enabled:
-            with self._kernel_span("admission", tracer,
-                                   detail={"count": count}):
+        if self._tracer.enabled:
+            with self._span("admission", {"count": count}):
                 admission.charge_predict(self._identity, count=count)
             return
         admission.charge_predict(self._identity, count=count)
 
+    @spanned("predict")
     def predict(self, features: Sequence[int]) -> int:
-        tracer = self._tracer()
-        if tracer.enabled:
-            with self._kernel_span("predict", tracer):
-                return self._predict_impl(features, tracer)
-        return self._predict_impl(features, tracer)
-
-    def _predict_impl(self, features: Sequence[int],
-                      tracer: TracerLike) -> int:
         self._domain.policy.check_predict(self._identity, self._domain.name)
-        self._charge_predict(tracer)
+        self._charge_predict()
         shard = self._domain.shard
         if shard is not None and shard.down:
             # Crashed primary: serve the bounded-stale follower answer
@@ -230,6 +233,7 @@ class DomainHandle:
             return shard.failover_predict(self._domain, features)
         return self._domain.predict(features)
 
+    @spanned("predict_batch", detail=nonempty_batch_rows)
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -244,19 +248,8 @@ class DomainHandle:
         """
         if not feature_rows:
             return []
-        tracer = self._tracer()
-        if tracer.enabled:
-            with self._kernel_span("predict_batch", tracer,
-                                   detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows, tracer)
-        return self._predict_batch_impl(feature_rows, tracer)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]],
-        tracer: TracerLike,
-    ) -> list[int]:
         self._domain.policy.check_predict(self._identity, self._domain.name)
-        self._charge_predict(tracer, count=len(feature_rows))
+        self._charge_predict(len(feature_rows))
         shard = self._domain.shard
         if shard is not None and shard.down:
             domain = self._domain
@@ -272,16 +265,8 @@ class DomainHandle:
             self._admission.charge_predict(self._identity)
         self._domain.record_cached_prediction(score)
 
+    @spanned("update")
     def update(self, features: Sequence[int], direction: bool) -> None:
-        tracer = self._tracer()
-        if tracer.enabled:
-            with self._kernel_span("update", tracer):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int],
-                     direction: bool) -> None:
         self._domain.policy.check_update(self._identity, self._domain.name)
         shard = self._domain.shard
         if shard is not None and shard.down:

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.errors import DomainError
 from repro.core.kernel.sharding import SlotMove
+from repro.obs.trace import SpanHandleLike, spanned
 
 if TYPE_CHECKING:
     from repro.core.faults import FaultInjector
@@ -56,6 +57,15 @@ class MigrationReport:
     moved_slots: int
     moved_domains: int
     stalls: int
+
+
+def _step_detail(migrator: "SlotMigrator") -> dict[str, int] | None:
+    """``migrate.step``'s span detail: the next handoff (no span once
+    the migration is done)."""
+    if migrator.done:
+        return None
+    move = migrator._moves[0]
+    return {"slot": move.slot, "source": move.source, "dest": move.dest}
 
 
 class SlotMigrator:
@@ -104,6 +114,14 @@ class SlotMigrator:
             )
         return False
 
+    def _span(self, op: str, detail: dict[str, int]) -> SpanHandleLike:
+        """Migrator-track span on the source shard (see
+        :func:`~repro.obs.trace.spanned`)."""
+        return self.tracer.span(f"migrate.{op}", transport="migrator",
+                                shard=str(detail["source"]),
+                                detail=detail)
+
+    @spanned("step", detail=_step_detail, tracer="tracer")
     def step(self) -> bool:
         """Attempt the next slot handoff.
 
@@ -117,16 +135,6 @@ class SlotMigrator:
         if self.done:
             return True
         move = self._moves[0]
-        if self.tracer.enabled:
-            with self.tracer.span("migrate.step", transport="migrator",
-                                  shard=str(move.source),
-                                  detail={"slot": move.slot,
-                                          "source": move.source,
-                                          "dest": move.dest}):
-                return self._step_impl(move)
-        return self._step_impl(move)
-
-    def _step_impl(self, move: SlotMove) -> bool:
         if self.injector is not None and self.injector.migration_stall():
             return self._stall(move, "injected")
         source = self.service.shard(move.source)

@@ -46,7 +46,13 @@ from repro.obs.metrics import (
     REPLICA_LAG_GENERATIONS,
     SHARD_CRASHES_TOTAL,
 )
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.trace import (
+    NULL_TRACER,
+    SpanHandleLike,
+    TracerLike,
+    nonempty_batch_rows,
+    spanned,
+)
 
 if TYPE_CHECKING:
     from repro.core.client import Fallback, PSSClient
@@ -306,7 +312,7 @@ class ShardedService:
             created_by=identity,
         )
         shard.domains[name] = domain
-        domain.shard = shard
+        domain.attach_shard(shard)
         self._bind_plan(domain)
         return domain
 
@@ -335,7 +341,7 @@ class ShardedService:
         domain = shard.domains.pop(name, None)
         if domain is None:
             raise DomainError(f"unknown domain {name!r}")
-        domain.shard = None
+        domain.attach_shard(None)
         shard._accounts.pop(name, None)
         if self.admission is not None and domain.created_by is not None:
             self.admission.release_domain(domain.created_by)
@@ -455,6 +461,13 @@ class ShardedService:
             return shard.failover_predict(domain, features)
         return domain.predict(features)
 
+    def _span(self, op: str, detail: dict[str, Any],
+              shard: str = "") -> SpanHandleLike:
+        """Kernel-track span (see :func:`~repro.obs.trace.spanned`)."""
+        return self.tracer.span(f"kernel.{op}", transport="kernel",
+                                shard=shard, detail=detail)
+
+    @spanned("predict_batch", detail=nonempty_batch_rows, tracer="tracer")
     def predict_batch(
         self, requests: Sequence[tuple[str, Sequence[int]]],
         identity: ClientIdentity | None = None,
@@ -476,25 +489,14 @@ class ShardedService:
         """
         if not requests:
             return []
-        if self.tracer.enabled:
-            with self.tracer.span("kernel.predict_batch",
-                                  transport="kernel",
-                                  detail={"rows": len(requests)}):
-                return self._predict_batch_impl(requests, identity)
-        return self._predict_batch_impl(requests, identity)
-
-    def _predict_batch_impl(
-        self, requests: Sequence[tuple[str, Sequence[int]]],
-        identity: ClientIdentity | None,
-    ) -> list[int]:
-        tracer = self.tracer
-        traced = tracer.enabled
+        # The admission/route/dispatch stages guard their spans inline:
+        # a spanned helper per stage would cost a frame per batch.
+        traced = self.tracer.enabled
         resolved = [(self.domain(name), features)
                     for name, features in requests]
         if identity is not None and self.admission is not None:
             if traced:
-                with tracer.span("kernel.admission", transport="kernel",
-                                 detail={"count": len(resolved)}):
+                with self._span("admission", {"count": len(resolved)}):
                     self.admission.charge_predict(identity,
                                                   count=len(resolved))
             else:
@@ -503,8 +505,7 @@ class ShardedService:
         #: shard id -> domain name -> request positions, insertion-ordered
         groups: dict[int, dict[str, list[int]]] = {}
         if traced:
-            with tracer.span("kernel.route", transport="kernel",
-                             detail={"rows": len(resolved)}) as route:
+            with self._span("route", {"rows": len(resolved)}) as route:
                 for position, (domain, _features) in enumerate(resolved):
                     groups.setdefault(domain.shard_id, {}) \
                           .setdefault(domain.name, []).append(position)
@@ -518,9 +519,8 @@ class ShardedService:
             if traced:
                 rows_here = sum(len(positions)
                                 for positions in groups[shard_id].values())
-                with tracer.span("kernel.dispatch", transport="kernel",
-                                 shard=str(shard_id),
-                                 detail={"rows": rows_here}):
+                with self._span("dispatch", {"rows": rows_here},
+                                shard=str(shard_id)):
                     self._dispatch_shard_batch(groups[shard_id],
                                                resolved, scores)
             else:

@@ -27,7 +27,7 @@ from repro.obs.metrics import (
     FAILOVER_PREDICTIONS_TOTAL,
     MetricsRegistry,
 )
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.trace import NULL_TRACER, SpanHandleLike, TracerLike, spanned
 
 
 class Shard:
@@ -112,7 +112,7 @@ class Shard:
         self.domains[domain.name] = domain
         domain.shard_id = self.shard_id
         domain.shard_label = label
-        domain.shard = self
+        domain.attach_shard(self)
         if accounts:
             self._accounts.setdefault(domain.name, []).extend(accounts)
 
@@ -130,6 +130,16 @@ class Shard:
             (replica.lag(self) for replica in self.replicas), default=0
         )
 
+    def _span(self, op: str, domain: str) -> SpanHandleLike:
+        """Replica-track span about ``domain`` (see
+        :func:`~repro.obs.trace.spanned`: here the span's second
+        argument is the domain name, not a detail dict)."""
+        return self.tracer.span(f"kernel.{op}", domain=domain,
+                                transport="replica",
+                                shard=str(self.shard_id))
+
+    @spanned("failover", detail=lambda self, domain, features: domain.name,
+             tracer="tracer")
     def failover_predict(self, domain: Domain,
                          features: tuple[int, ...] | list[int]) -> int:
         """Serve one prediction from a follower while the primary is
@@ -140,15 +150,6 @@ class Shard:
         :class:`~repro.core.errors.ShardDownError` when no follower
         holds the domain (e.g. it was created after the last sync).
         """
-        if self.tracer.enabled:
-            with self.tracer.span("kernel.failover", domain=domain.name,
-                                  transport="replica",
-                                  shard=str(self.shard_id)):
-                return self._failover_predict_impl(domain, features)
-        return self._failover_predict_impl(domain, features)
-
-    def _failover_predict_impl(self, domain: Domain,
-                               features: tuple[int, ...] | list[int]) -> int:
         candidates = [
             replica for replica in self.replicas
             if domain.name in replica.followers

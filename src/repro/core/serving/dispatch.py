@@ -32,7 +32,13 @@ from repro.core.errors import PSSError
 from repro.core.serving.batcher import MicroBatcher
 from repro.core.serving.queue import Request, RequestQueue
 from repro.obs.metrics import BATCH_SIZE, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, TracerLike
+from repro.obs.trace import (
+    NULL_TRACER,
+    SpanHandleLike,
+    TracerLike,
+    batch_rows,
+    spanned,
+)
 from repro.sim.engine import Engine
 from repro.sim.process import Process, ProcessBody, spawn
 
@@ -114,18 +120,15 @@ class Dispatcher:
             detail={"rows": len(batch), "trigger": trigger},
         )
 
-    def _execute(self, batch: list[Request]) -> None:
-        """Run one drained batch against the kernel, under a span."""
-        if self.tracer.enabled:
-            with self.tracer.span("serve.dispatch", transport="serving",
-                                  shard=str(self.shard_id),
-                                  detail={"rows": len(batch)},
-                                  clock=lambda: self.engine.now):
-                self._execute_impl(batch)
-            return
-        self._execute_impl(batch)
+    def _span(self, op: str, detail: dict[str, int]) -> SpanHandleLike:
+        """Serving-track span on the engine's clock (see
+        :func:`~repro.obs.trace.spanned`)."""
+        return self.tracer.span(f"serve.{op}", transport="serving",
+                                shard=str(self.shard_id), detail=detail,
+                                clock=lambda: self.engine.now)
 
-    def _execute_impl(self, batch: list[Request]) -> None:
+    @spanned("dispatch", detail=batch_rows, tracer="tracer")
+    def _execute(self, batch: list[Request]) -> None:
         """Run one drained batch against the kernel, in FIFO order.
 
         Adjacent predictions collapse into one ``predict_batch`` call;

@@ -12,7 +12,16 @@ Two concerns live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
+
+
+def _add_fields(total: Any, other: Any) -> None:
+    """Add every dataclass field of ``other`` into ``total``: a counter
+    added to the class is merged without touching this code."""
+    for spec in fields(total):
+        name = spec.name
+        setattr(total, name, getattr(total, name) + getattr(other, name))
 
 
 @dataclass
@@ -79,14 +88,7 @@ class PredictionStats:
 
     def merge(self, other: "PredictionStats") -> None:
         """Accumulate another stats block into this one."""
-        self.predictions += other.predictions
-        self.positive_predictions += other.positive_predictions
-        self.updates += other.updates
-        self.rewards += other.rewards
-        self.penalties += other.penalties
-        self.resets += other.resets
-        self.cached_predictions += other.cached_predictions
-        self.failover_predictions += other.failover_predictions
+        _add_fields(self, other)
 
 
 @dataclass
@@ -313,25 +315,11 @@ class ResilienceStats:
     @property
     def any_activity(self) -> bool:
         """Whether this stats block recorded anything at all."""
-        return bool(
-            self.predictions or self.retries or self.transport_failures
-            or self.dropped_updates or self.dropped_resets
-            or self.breaker_opens or self.breaker_closes
-            or self.quota_rejections
-        )
+        return any(getattr(self, spec.name) for spec in fields(self))
 
     def merge(self, other: "ResilienceStats") -> None:
         """Accumulate another resilient client's stats into this one."""
-        self.predictions += other.predictions
-        self.fallback_predictions += other.fallback_predictions
-        self.retries += other.retries
-        self.transport_failures += other.transport_failures
-        self.dropped_updates += other.dropped_updates
-        self.dropped_resets += other.dropped_resets
-        self.breaker_opens += other.breaker_opens
-        self.breaker_closes += other.breaker_closes
-        self.backoff_ns += other.backoff_ns
-        self.quota_rejections += other.quota_rejections
+        _add_fields(self, other)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from repro.core.errors import (
 from repro.core.faults import FaultInjector
 from repro.core.features import canonical_features
 from repro.core.stats import LatencyAccount
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, SpanHandleLike, batch_rows, spanned
 
 #: score-cache probe sentinel distinct from the ``None`` placeholders
 #: that :meth:`VdsoTransport.predict_batch` parks for in-flight misses
@@ -178,26 +178,20 @@ class Transport:
             detail=detail, shard=self._obs_shard,
         )
 
-    def _op_span(self, op: str, detail: dict | None = None):
+    def _span(self, op: str, detail: dict | None) -> SpanHandleLike:
         """Span covering one boundary crossing on this transport's
-        timeline (callers pre-check ``enabled`` and hold the handle in
-        a ``with`` block; the account clock makes durations simulated
-        ns, so the span is exactly what the crossing charged)."""
+        timeline (see :func:`~repro.obs.trace.spanned`; the account
+        clock makes durations simulated ns, so the span is exactly what
+        the crossing charged)."""
         return self._tracer.span(
             f"{self.name}.{op}", domain=self._obs_domain,
             transport=self.name, shard=self._obs_shard, detail=detail,
             clock=lambda: self.account.total_ns,
         )
 
+    @spanned("reset")
     def reset(self, features: Sequence[int], reset_all: bool) -> None:
         """Resets always cross via syscall: they write kernel state."""
-        if self._tracer.enabled:
-            with self._op_span("reset"):
-                self._reset_impl(features, reset_all)
-            return
-        self._reset_impl(features, reset_all)
-
-    def _reset_impl(self, features: Sequence[int], reset_all: bool) -> None:
         self._ensure_open()
         self.account.charge_syscall(self._latency.syscall_ns)
         self.account.charge_op("reset", self._latency.syscall_ns)
@@ -237,13 +231,8 @@ class SyscallTransport(Transport):
 
     name = "syscall"
 
+    @spanned("predict")
     def predict(self, features: Sequence[int]) -> int:
-        if self._tracer.enabled:
-            with self._op_span("predict"):
-                return self._predict_impl(features)
-        return self._predict_impl(features)
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
         self._ensure_open()
         self.account.charge_syscall(self._latency.syscall_ns)
         self.account.charge_op("predict", self._latency.syscall_ns)
@@ -257,6 +246,7 @@ class SyscallTransport(Transport):
             raise fault  # the failed crossing still cost a syscall
         return self._target.predict(features)
 
+    @spanned("predict_batch", detail=batch_rows)
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -275,15 +265,6 @@ class SyscallTransport(Transport):
         scores), and a fault sequence observed under scalar predicts
         will not line up with one observed under batching.
         """
-        if self._tracer.enabled:
-            with self._op_span("predict_batch",
-                               detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         self._ensure_open()
         rows = [canonical_features(features) for features in feature_rows]
         if not rows:
@@ -303,14 +284,8 @@ class SyscallTransport(Transport):
             raise fault  # the failed crossing still cost a syscall
         return self._target_predict_rows(rows)
 
+    @spanned("update")
     def update(self, features: Sequence[int], direction: bool) -> None:
-        if self._tracer.enabled:
-            with self._op_span("update"):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int], direction: bool) -> None:
         self._ensure_open()
         fault = self._syscall_fault()
         if fault is not None:
@@ -362,6 +337,13 @@ class BatchUpdateBuffer:
     def drain(self) -> list[tuple[tuple[int, ...], bool]]:
         records, self._records = self._records, []
         return records
+
+
+def _pending_records(transport: "VdsoTransport") -> dict[str, int] | None:
+    """``VdsoTransport.flush``'s span detail: a flush with nothing
+    pending opens no span."""
+    pending = len(transport._buffer)
+    return {"records": pending} if pending else None
 
 
 class VdsoTransport(Transport):
@@ -444,13 +426,8 @@ class VdsoTransport(Transport):
         """Entries currently held by the generation-keyed score cache."""
         return len(self._score_cache)
 
+    @spanned("predict")
     def predict(self, features: Sequence[int]) -> int:
-        if self._tracer.enabled:
-            with self._op_span("predict"):
-                return self._predict_impl(features)
-        return self._predict_impl(features)
-
-    def _predict_impl(self, features: Sequence[int]) -> int:
         self._ensure_open()
         self.account.charge_vdso(self._latency.vdso_predict_ns)
         self.account.charge_op("predict", self._latency.vdso_predict_ns)
@@ -488,6 +465,7 @@ class VdsoTransport(Transport):
         cache[key] = score
         return score
 
+    @spanned("predict_batch", detail=batch_rows)
     def predict_batch(
         self, feature_rows: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -510,15 +488,6 @@ class VdsoTransport(Transport):
         of a pending row counts as the cache hit it would have been
         (its score is filled in once the batched call returns).
         """
-        if self._tracer.enabled:
-            with self._op_span("predict_batch",
-                               detail={"rows": len(feature_rows)}):
-                return self._predict_batch_impl(feature_rows)
-        return self._predict_batch_impl(feature_rows)
-
-    def _predict_batch_impl(
-        self, feature_rows: Sequence[Sequence[int]]
-    ) -> list[int]:
         self._ensure_open()
         rows = [canonical_features(features) for features in feature_rows]
         account = self.account
@@ -635,14 +604,8 @@ class VdsoTransport(Transport):
             self._stale_cache.clear()
             self._score_cache_generation = -1
 
+    @spanned("update")
     def update(self, features: Sequence[int], direction: bool) -> None:
-        if self._tracer.enabled:
-            with self._op_span("update"):
-                self._update_impl(features, direction)
-            return
-        self._update_impl(features, direction)
-
-    def _update_impl(self, features: Sequence[int], direction: bool) -> None:
         self._ensure_open()
         self._buffer.add(features, direction)
         if self._tracer.enabled:
@@ -651,15 +614,8 @@ class VdsoTransport(Transport):
         if self._buffer.full:
             self.flush()
 
+    @spanned("flush", detail=_pending_records)
     def flush(self) -> None:
-        if self._tracer.enabled and len(self._buffer):
-            with self._op_span("flush",
-                               detail={"records": len(self._buffer)}):
-                self._flush_impl()
-            return
-        self._flush_impl()
-
-    def _flush_impl(self) -> None:
         self._ensure_open()
         records = self._buffer.drain()
         if not records:

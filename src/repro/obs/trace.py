@@ -13,15 +13,21 @@ trace-event JSON (one track per domain/transport, loadable in Perfetto or
 Tracing is opt-in and the disabled path is allocation-free: every traced
 component holds :data:`NULL_TRACER` by default and guards each record
 with ``if tracer.enabled`` - a single attribute check, no event object is
-ever built.
+ever built.  Request-path operations get their spans from one seam,
+:func:`spanned`, which keeps that promise for spans too.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from types import TracebackType
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple, Sized, TypeVar, Union
 
 from repro.obs.spans import ROOT_PARENT, Span
+
+#: a decorated method; :func:`spanned` returns it with its type intact
+F = TypeVar("F", bound=Callable[..., Any])
 
 #: event kinds emitted by the instrumented stack (transports, clients,
 #: fault injector, checkpoint manager).  Exporters and tests treat this
@@ -384,3 +390,79 @@ SpanHandleLike = Union[SpanHandle, NullSpanHandle]
 
 #: shared disabled tracer; safe to use as a default everywhere
 NULL_TRACER = NullTracer()
+
+
+def spanned(op: str, detail: Callable[..., Any] | None = None,
+            tracer: str = "_tracer") -> Callable[[F], F]:
+    """Run a method inside ``self._span(op, ...)`` while tracing is on.
+
+    The class holds its tracer as the plain attribute ``tracer`` names
+    and defines ``_span(op, detail)``, which opens the span.  On traced
+    calls only, ``detail(self, <the method's arguments>)`` gives
+    ``_span``'s second argument; ``None`` skips the span for that call.
+    The wrapper is generated with the method's exact signature, so an
+    untraced call costs one frame and one ``enabled`` check, without
+    ``*args``/``**kwargs`` packing; its globals carry the method's
+    module ``__name__``, and its code the method's qualname (as
+    ``co_qualname`` and as a constant), so profilers attribute it to
+    the method's module and class.  See docs/OBSERVABILITY.md.
+    """
+    def decorate(fn: F) -> F:
+        signature = inspect.signature(fn)
+        params: list[inspect.Parameter] = []
+        args: list[str] = []
+        for param in signature.parameters.values():
+            name, kind = param.name, param.kind
+            if name in ("_body", "_detail", "_op", "_span_detail"):
+                raise TypeError(f"@spanned: {fn.__qualname__} has a "
+                                f"parameter named {name!r}")
+            # Defaults are rendered as None and restored below.
+            params.append(param.replace(
+                annotation=param.empty,
+                default=param.empty if param.default is param.empty
+                else None))
+            args.append("*" + name if kind is param.VAR_POSITIONAL
+                        else "**" + name if kind is param.VAR_KEYWORD
+                        else f"{name}={name}" if kind is param.KEYWORD_ONLY
+                        else name)
+        header = signature.replace(parameters=params,
+                                   return_annotation=signature.empty)
+        self, call = params[0].name, ", ".join(args)
+        traced = (f"with {self}._span(_op, None):\n"
+                  f"            return _body({call})"
+                  if detail is None else
+                  f"_span_detail = _detail({call})\n"
+                  f"        if _span_detail is not None:\n"
+                  f"            with {self}._span(_op, _span_detail):\n"
+                  f"                return _body({call})")
+        source = (f"def {fn.__name__}{header}:\n"
+                  f"    {fn.__qualname__!r}\n"
+                  f"    if {self}.{tracer}.enabled:\n"
+                  f"        {traced}\n"
+                  f"    return _body({call})\n")
+        # Each wrapper gets its own globals: the body, detail and op are
+        # module-level names there (cheaper than closure cells).
+        namespace: dict[str, Any] = {"__name__": fn.__module__,
+                                     "_body": fn, "_detail": detail,
+                                     "_op": op}
+        exec(compile(source, f"<spanned {fn.__qualname__}>", "exec"),
+             namespace)
+        wrapper = namespace[fn.__name__]
+        wrapper.__defaults__ = fn.__defaults__
+        wrapper.__kwdefaults__ = fn.__kwdefaults__
+        if hasattr(wrapper.__code__, "co_qualname"):  # CPython >= 3.11
+            wrapper.__code__ = wrapper.__code__.replace(
+                co_qualname=fn.__qualname__)
+        return functools.update_wrapper(wrapper, fn)  # type: ignore
+    return decorate
+
+
+def batch_rows(self: object, rows: Sized, *rest: object) -> dict[str, int]:
+    """:func:`spanned` detail of a batch operation: its row count."""
+    return {"rows": len(rows)}
+
+
+def nonempty_batch_rows(self: object, rows: Sized,
+                        *rest: object) -> dict[str, int] | None:
+    """Like :func:`batch_rows`, but an empty batch opens no span."""
+    return {"rows": len(rows)} if rows else None

@@ -1,5 +1,7 @@
 """Tests for prediction and latency accounting."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.stats import (
@@ -146,6 +148,11 @@ class TestResilienceStats:
         assert ResilienceStats(predictions=1).any_activity
         assert ResilienceStats(breaker_opens=1).any_activity
 
+    def test_any_single_field_is_activity(self):
+        for spec in fields(ResilienceStats):
+            stats = ResilienceStats(**{spec.name: 1})
+            assert stats.any_activity, spec.name
+
     def test_merge(self):
         a = ResilienceStats(predictions=5, fallback_predictions=2,
                             retries=1, backoff_ns=100.0)
@@ -157,6 +164,28 @@ class TestResilienceStats:
         assert a.dropped_updates == 4
         assert a.backoff_ns == pytest.approx(150.0)
         assert a.degraded_fraction == pytest.approx(3 / 8)
+
+
+@pytest.mark.parametrize("cls", [PredictionStats, ResilienceStats])
+class TestEveryFieldCounts:
+    """Every field is merged: a counter added to a stats class cannot
+    be dropped by a merge that forgot to list it."""
+
+    @staticmethod
+    def _distinct(cls):
+        return cls(**{spec.name: index + 1
+                      for index, spec in enumerate(fields(cls))})
+
+    def test_merge_adds_every_field(self, cls):
+        total = self._distinct(cls)
+        total.merge(self._distinct(cls))
+        for index, spec in enumerate(fields(cls)):
+            assert getattr(total, spec.name) == 2 * (index + 1), spec.name
+
+    def test_merge_into_empty_is_a_copy(self, cls):
+        total = cls()
+        total.merge(self._distinct(cls))
+        assert total == self._distinct(cls)
 
 
 class TestDomainReport:
